@@ -22,8 +22,8 @@
 // with a rank-placement axis (block, rr, random), and -collectives selects
 // collective algorithms ("auto" keys them on the topology).
 //
-// Running with -fig all reproduces the whole campaign; EXPERIMENTS.md
-// records paper-vs-measured for each figure.
+// Running with -fig all reproduces the whole campaign; the package tests of
+// internal/experiments assert each figure's paper-vs-measured shape.
 //
 // Observability: campaign -stats attaches per-job kernel counters (see
 // internal/obs) and prints the aggregate; -pprof addr serves net/http/pprof
@@ -210,18 +210,17 @@ func runFigures(args []string) error {
 
 func runCampaign(args []string) error {
 	fs := flag.NewFlagSet("experiments campaign", flag.ExitOnError)
-	op := fs.String("op", "scatter", "operation to sweep: scatter, alltoall, bcast, allreduce, pingpong")
+	op := fs.String("op", experiments.OpNames()[0], "operation to sweep: "+strings.Join(experiments.OpNames(), ", "))
 	procsArg := fs.String("procs", "16", "comma-separated process counts, e.g. 4,8,16,32")
 	sizesArg := fs.String("sizes", "64KiB,1MiB,4MiB", "comma-separated message sizes, e.g. 64KiB,1MiB")
-	modelsArg := fs.String("models", "piecewise", "comma-separated surf models: piecewise,bestfit,default,ideal")
-	backendsArg := fs.String("backends", "surf", "comma-separated backends: surf,openmpi,mpich2")
+	modelsArg := fs.String("models", experiments.ModelNames()[0], "comma-separated surf models: "+strings.Join(experiments.ModelNames(), ","))
+	backendsArg := fs.String("backends", experiments.BackendNames()[0], "comma-separated backends: "+strings.Join(experiments.BackendNames(), ","))
 	platformArg := fs.String("platform", "griffon", "target platform: griffon or gdx (ignored when -topologies is set)")
 	topologiesArg := fs.String("topologies", "", "comma-separated topology axis: griffon,gdx, presets (fattree16,fattree64,torus16,torus64,dragonfly72), or shapes (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2)")
 	placementsArg := fs.String("placements", "", "comma-separated rank-placement axis: block,rr,random (empty = default layout)")
 	collectivesArg := fs.String("collectives", "", "collective algorithms for every job: default, auto (topology-keyed), or overrides like bcast=ring,allreduce=auto")
 	dynamicsArg := fs.String("dynamics", "", "comma-separated platform-event axis, each a dynamics schedule (\"none\" or \"@2ms link a-* scale 0.5; ...\"); schedules use ';' between events so they survive this comma-separated list")
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	solverWorkers := fs.Int("solver-workers", 0, "per-job LMM solver worker pool (0 or 1 = serial, -1 = GOMAXPROCS); results are bit-identical at any setting")
 	rateTol := fs.Float64("rate-tolerance", 0, "bounded-staleness solver tolerance eps in [0,1); 0 = exact (flows whose rate would move by less than eps keep their stale rate)")
 	shardArg := fs.String("shard", "", "run only shard i/n of the expanded grid (e.g. 0/2); shard summaries merge back to the unsharded fingerprint (smpigod /v1/campaigns/merge)")
 	seed := fs.Uint64("seed", 0, "campaign seed; per-job seeds derive from it")
@@ -243,9 +242,6 @@ func runCampaign(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-procs: %w", err)
 	}
-	if strings.EqualFold(*op, "pingpong") && len(procs) > 1 {
-		fmt.Fprintln(os.Stderr, "note: pingpong always runs between two fixed endpoints; ignoring the extra -procs values")
-	}
 	sizes, err := parseSizes(*sizesArg)
 	if err != nil {
 		return fmt.Errorf("-sizes: %w", err)
@@ -262,7 +258,6 @@ func runCampaign(args []string) error {
 		Collectives:   *collectivesArg,
 		Dynamics:      splitList(*dynamicsArg),
 		Stats:         *statsOn,
-		SolverWorkers: *solverWorkers,
 		RateTolerance: *rateTol,
 	}
 	if *shardArg != "" {

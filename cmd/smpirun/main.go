@@ -39,13 +39,19 @@ import (
 	"smpigo/internal/trace"
 )
 
+// apps lists the -app values: the applications local to smpirun, then the
+// collectives the campaign grid also sweeps.
+func apps() string {
+	return strings.Join(append([]string{"pingpong", "ring", "dt", "ep"}, experiments.CollectiveOps()...), ", ")
+}
+
 func main() {
 	var (
-		appName   = flag.String("app", "pingpong", "application: pingpong, ring, scatter, alltoall, dt, ep")
+		appName   = flag.String("app", "pingpong", "application: "+apps())
 		np        = flag.Int("np", 2, "number of MPI processes (ignored by dt, which sets it from -class)")
 		platName  = flag.String("platform", "griffon", "target platform: griffon, gdx, a topology preset (fattree16, fattree64, torus16, torus64, dragonfly72), a topology shape (fattree:4x4:1x4 torus:4x4x4 dragonfly:9x4x2), or a platform XML file")
 		backend   = flag.String("backend", "surf", "timing backend: surf (analytical SMPI) or emu (packet-level testbed)")
-		modelName = flag.String("model", "piecewise", "surf model: ideal, default, bestfit, piecewise")
+		modelName = flag.String("model", experiments.ModelNames()[0], "surf model: "+strings.Join(experiments.ModelNames(), ", "))
 		noCont    = flag.Bool("no-contention", false, "disable link contention (surf backend)")
 		chunk     = flag.String("chunk", "4MiB", "per-rank payload for scatter/alltoall/pingpong")
 		graph     = flag.String("graph", "WH", "DT graph: WH, BH, SH")
@@ -61,11 +67,10 @@ func main() {
 		timeline  = flag.String("timeline", "", "write a per-link/per-host utilization timeline (JSON) to this file")
 		tlBucket  = flag.String("timeline-bucket", "1ms", "timeline bucket width (simulated time)")
 		dynArg    = flag.String("dynamics", "", "platform event schedule: inline grammar (\"@2ms link a-* scale 0.5; ...\"), inline JSON, or a file; \"none\" disables")
-		solverW   = flag.Int("solver-workers", 0, "LMM solver worker pool (0 or 1 = serial, -1 = GOMAXPROCS); results are bit-identical at any setting")
 		rateTol   = flag.Float64("rate-tolerance", 0, "bounded-staleness solver tolerance eps in [0,1); 0 = exact (flows whose rate would move by less than eps keep their stale rate)")
 	)
 	flag.Parse()
-	if err := run(*appName, *np, *platName, *backend, *modelName, *noCont, *chunk, *graph, *class, *ratio, *fold, *placeArg, *collArg, *seed, *traceOut, *replayIn, *statsOn, *timeline, *tlBucket, *dynArg, *solverW, *rateTol); err != nil {
+	if err := run(*appName, *np, *platName, *backend, *modelName, *noCont, *chunk, *graph, *class, *ratio, *fold, *placeArg, *collArg, *seed, *traceOut, *replayIn, *statsOn, *timeline, *tlBucket, *dynArg, *rateTol); err != nil {
 		fmt.Fprintln(os.Stderr, "smpirun:", err)
 		os.Exit(1)
 	}
@@ -100,34 +105,22 @@ func loadPlatform(name string) (*platform.Platform, error) {
 }
 
 func pickModel(name string) (surf.NetModel, error) {
-	if name == "ideal" {
-		return surf.Ideal(), nil
-	}
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return surf.NetModel{}, fmt.Errorf("calibration: %w", err)
 	}
-	switch name {
-	case "default":
-		return env.Default, nil
-	case "bestfit":
-		return env.BestFit, nil
-	case "piecewise":
-		return env.Piecewise, nil
-	}
-	return surf.NetModel{}, fmt.Errorf("unknown model %q", name)
+	return env.Model(name)
 }
 
 func run(appName string, np int, platName, backend, modelName string, noCont bool,
 	chunkStr, graph, class string, ratio float64, fold bool,
 	placeArg, collArg string, seed uint64, traceOut, replayIn string,
-	statsOn bool, timelineOut, tlBucket, dynArg string, solverWorkers int, rateTol float64) error {
+	statsOn bool, timelineOut, tlBucket, dynArg string, rateTol float64) error {
 	plat, err := loadPlatform(platName)
 	if err != nil {
 		return err
 	}
-	cfg := smpi.Config{Procs: np, Platform: plat, NoContention: noCont, Seed: seed,
-		SolverWorkers: solverWorkers, RateTolerance: rateTol}
+	cfg := smpi.Config{Procs: np, Platform: plat, NoContention: noCont, Seed: seed, RateTolerance: rateTol}
 	if dynArg != "" {
 		sched, err := dynamics.Load(dynArg)
 		if err != nil {
@@ -234,25 +227,6 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 				r.Send(c, buf, next, 0)
 			}
 		}
-	case "scatter":
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			var sendbuf []byte
-			if r.Rank() == 0 {
-				sendbuf = make([]byte, int64(r.Size())*chunk)
-			}
-			recvbuf := make([]byte, chunk)
-			c.Barrier(r)
-			c.Scatter(r, sendbuf, recvbuf, 0)
-		}
-	case "alltoall":
-		app = func(r *smpi.Rank) {
-			c := r.Comm()
-			sendbuf := make([]byte, int64(r.Size())*chunk)
-			recvbuf := make([]byte, int64(r.Size())*chunk)
-			c.Barrier(r)
-			c.Alltoall(r, sendbuf, recvbuf)
-		}
 	case "dt":
 		dcfg := nas.DTConfig{Graph: nas.DTGraph(graph), Class: nas.DTClass(class[0]), Fold: fold}
 		procs, err := nas.DTProcs(dcfg.Graph, dcfg.Class)
@@ -265,7 +239,12 @@ func run(appName string, np int, platName, backend, modelName string, noCont boo
 		a, _ := nas.EP(nas.EPConfig{M: 20, Iterations: 64, SampleRatio: ratio})
 		app = a
 	default:
-		return fmt.Errorf("unknown app %q", appName)
+		if app, err = experiments.CollectiveApp(appName, chunk); err != nil {
+			return err
+		}
+		if app == nil {
+			return fmt.Errorf("unknown app %q (want %s)", appName, apps())
+		}
 	}
 
 	// applyPlacement pins ranks via the -placement policy; procs varies by

@@ -21,19 +21,61 @@ type collectiveRun struct {
 	Wall    time.Duration
 }
 
+// collective is the per-rank body of a measured collective with chunk bytes
+// per rank. Buffer allocation inside it is host-side work and does not
+// advance simulated time, so a body can set up and call the collective
+// directly.
+type collective func(r *smpi.Rank, c *smpi.Comm, chunk int64)
+
+// scatterBody performs one binomial-tree scatter of chunk bytes per rank.
+func scatterBody(r *smpi.Rank, c *smpi.Comm, chunk int64) {
+	var sendbuf []byte
+	if r.Rank() == 0 {
+		sendbuf = make([]byte, int64(c.Size())*chunk)
+	}
+	recvbuf := make([]byte, chunk)
+	c.Scatter(r, sendbuf, recvbuf, 0)
+}
+
+// alltoallBody performs one pairwise all-to-all with chunk bytes per pair.
+func alltoallBody(r *smpi.Rank, c *smpi.Comm, chunk int64) {
+	sendbuf := make([]byte, int64(c.Size())*chunk)
+	recvbuf := make([]byte, int64(c.Size())*chunk)
+	c.Alltoall(r, sendbuf, recvbuf)
+}
+
+// bcastBody performs one broadcast of chunk bytes from rank 0.
+func bcastBody(r *smpi.Rank, c *smpi.Comm, chunk int64) {
+	c.Bcast(r, make([]byte, chunk), 0)
+}
+
+// allreduceBody performs one allreduce of chunk bytes (float64 sums).
+func allreduceBody(r *smpi.Rank, c *smpi.Comm, chunk int64) {
+	sendbuf := make([]byte, chunk)
+	recvbuf := make([]byte, chunk)
+	c.Allreduce(r, sendbuf, recvbuf, smpi.Float64, smpi.OpSum)
+}
+
+// float64Payload rejects payloads the float64-sum collectives (allreduce)
+// cannot slice into elements.
+func float64Payload(size int64) error {
+	if size%8 != 0 {
+		return fmt.Errorf("payload %d not a multiple of the float64 size", size)
+	}
+	return nil
+}
+
 // measureCollective times one collective operation: every rank
-// synchronizes on a barrier, runs op, and records its completion relative
-// to the barrier exit. Buffer allocation inside op is host-side work and
-// does not advance simulated time, so op can set up and call the
-// collective directly.
-func measureCollective(cfg smpi.Config, procs int, op func(r *smpi.Rank, c *smpi.Comm)) (*collectiveRun, error) {
+// synchronizes on a barrier, runs body, and records its completion relative
+// to the barrier exit.
+func measureCollective(cfg smpi.Config, procs int, chunk int64, body collective) (*collectiveRun, error) {
 	cfg.Procs = procs
 	out := &collectiveRun{PerRank: make([]float64, procs)}
 	rep, err := smpi.Run(cfg, func(r *smpi.Rank) {
 		c := r.Comm()
 		c.Barrier(r)
 		start := r.Now()
-		op(r, c)
+		body(r, c, chunk)
 		out.PerRank[r.Rank()] = float64(r.Now() - start)
 	})
 	if err != nil {
@@ -49,42 +91,11 @@ func measureCollective(cfg smpi.Config, procs int, op func(r *smpi.Rank, c *smpi
 	return out, nil
 }
 
-// runScatter performs one binomial-tree scatter of chunk bytes per rank.
-func runScatter(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		var sendbuf []byte
-		if r.Rank() == 0 {
-			sendbuf = make([]byte, int64(procs)*chunk)
-		}
-		recvbuf := make([]byte, chunk)
-		c.Scatter(r, sendbuf, recvbuf, 0)
-	})
-}
-
-// checkFloat64Payload rejects payloads the float64-sum collectives
-// (allreduce) cannot slice into elements; context prefixes the error.
-func checkFloat64Payload(context string, size int64) error {
-	if size%8 != 0 {
-		return fmt.Errorf("%s: payload %d not a multiple of the float64 size", context, size)
-	}
-	return nil
-}
-
-// runAlltoall performs one pairwise all-to-all with chunk bytes per pair.
-func runAlltoall(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		sendbuf := make([]byte, int64(procs)*chunk)
-		recvbuf := make([]byte, int64(procs)*chunk)
-		c.Alltoall(r, sendbuf, recvbuf)
-	})
-}
-
 // collectiveJob wraps one collective run as a campaign job whose payload is
 // the *collectiveRun. The job's derived seed flows into the simulation
 // config, so every scenario point is reproducible in isolation.
-func collectiveJob(id string, cfg smpi.Config, procs int, chunk int64,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) campaign.Job {
-	return placedCollectiveJob(id, cfg, "", procs, chunk, run)
+func collectiveJob(id string, cfg smpi.Config, procs int, chunk int64, body collective) campaign.Job {
+	return placedCollectiveJob(id, cfg, "", procs, chunk, body)
 }
 
 // placedCollectiveJob is collectiveJob with a rank-placement policy (see
@@ -92,8 +103,7 @@ func collectiveJob(id string, cfg smpi.Config, procs int, chunk int64,
 // generated inside the job from its derived seed, so a random placement is
 // a pure function of (campaign seed, job ID) and sweeps stay bit-identical
 // at any worker count.
-func placedCollectiveJob(id string, cfg smpi.Config, policy string, procs int, chunk int64,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) campaign.Job {
+func placedCollectiveJob(id string, cfg smpi.Config, policy string, procs int, chunk int64, body collective) campaign.Job {
 	return campaign.Job{
 		ID:   id,
 		Tags: map[string]string{"procs": fmt.Sprint(procs), "size": core.FormatBytes(chunk)},
@@ -106,7 +116,7 @@ func placedCollectiveJob(id string, cfg smpi.Config, policy string, procs int, c
 				}
 				cfg.Hosts = hosts
 			}
-			out, err := run(cfg, procs, chunk)
+			out, err := measureCollective(cfg, procs, chunk, body)
 			if err != nil {
 				return nil, err
 			}
@@ -156,10 +166,10 @@ func Figure7(env *Env) (*PerRankResult, error) {
 	mpichCfg := emuConfig(env.Griffon)
 	mpichCfg.Impl = mpich2()
 	runs, err := collectiveRuns(env, []campaign.Job{
-		collectiveJob("fig7/scatter/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/smpi-nocontention", noCfg, procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/openmpi", emuConfig(env.Griffon), procs, chunk, runScatter),
-		collectiveJob("fig7/scatter/mpich2", mpichCfg, procs, chunk, runScatter),
+		collectiveJob("fig7/scatter/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, scatterBody),
+		collectiveJob("fig7/scatter/smpi-nocontention", noCfg, procs, chunk, scatterBody),
+		collectiveJob("fig7/scatter/openmpi", emuConfig(env.Griffon), procs, chunk, scatterBody),
+		collectiveJob("fig7/scatter/mpich2", mpichCfg, procs, chunk, scatterBody),
 	})
 	if err != nil {
 		return nil, err
@@ -197,9 +207,9 @@ func Figure11(env *Env) (*PerRankResult, error) {
 	noCfg := surfConfig(env.Griffon, env.Piecewise)
 	noCfg.NoContention = true
 	runs, err := collectiveRuns(env, []campaign.Job{
-		collectiveJob("fig11/alltoall/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, runAlltoall),
-		collectiveJob("fig11/alltoall/smpi-nocontention", noCfg, procs, chunk, runAlltoall),
-		collectiveJob("fig11/alltoall/openmpi", emuConfig(env.Griffon), procs, chunk, runAlltoall),
+		collectiveJob("fig11/alltoall/smpi", surfConfig(env.Griffon, env.Piecewise), procs, chunk, alltoallBody),
+		collectiveJob("fig11/alltoall/smpi-nocontention", noCfg, procs, chunk, alltoallBody),
+		collectiveJob("fig11/alltoall/openmpi", emuConfig(env.Griffon), procs, chunk, alltoallBody),
 	})
 	if err != nil {
 		return nil, err
@@ -248,18 +258,17 @@ func sweepSizes() []int64 {
 // 16 processes, SMPI vs OpenMPI.
 func Figure8(env *Env) (*SweepResult, error) {
 	return sweepCollective(env, "Figure 8: scatter time vs message size (16 procs)",
-		runScatter)
+		scatterBody)
 }
 
 // Figure12 reproduces Figure 12: pairwise all-to-all accuracy vs message
 // size, 16 processes.
 func Figure12(env *Env) (*SweepResult, error) {
 	return sweepCollective(env, "Figure 12: all-to-all time vs message size (16 procs)",
-		runAlltoall)
+		alltoallBody)
 }
 
-func sweepCollective(env *Env, title string,
-	run func(smpi.Config, int, int64) (*collectiveRun, error)) (*SweepResult, error) {
+func sweepCollective(env *Env, title string, body collective) (*SweepResult, error) {
 	const procs = 16
 	res := &SweepResult{Table: &Table{
 		Title:  title,
@@ -271,9 +280,9 @@ func sweepCollective(env *Env, title string,
 	for _, size := range sizes {
 		jobs = append(jobs,
 			collectiveJob(fmt.Sprintf("%s/size=%s/smpi", title, core.FormatBytes(size)),
-				surfConfig(env.Griffon, env.Piecewise), procs, size, run),
+				surfConfig(env.Griffon, env.Piecewise), procs, size, body),
 			collectiveJob(fmt.Sprintf("%s/size=%s/openmpi", title, core.FormatBytes(size)),
-				emuConfig(env.Griffon), procs, size, run),
+				emuConfig(env.Griffon), procs, size, body),
 		)
 	}
 	runs, err := collectiveRuns(env, jobs)
@@ -310,11 +319,11 @@ func Figure9(env *Env) (*SweepResult, error) {
 		mpichCfg.Impl = mpich2()
 		jobs = append(jobs,
 			collectiveJob(fmt.Sprintf("fig9/procs=%d/smpi", procs),
-				surfConfig(env.Griffon, env.Piecewise), procs, chunk, runScatter),
+				surfConfig(env.Griffon, env.Piecewise), procs, chunk, scatterBody),
 			collectiveJob(fmt.Sprintf("fig9/procs=%d/openmpi", procs),
-				emuConfig(env.Griffon), procs, chunk, runScatter),
+				emuConfig(env.Griffon), procs, chunk, scatterBody),
 			collectiveJob(fmt.Sprintf("fig9/procs=%d/mpich2", procs),
-				mpichCfg, procs, chunk, runScatter),
+				mpichCfg, procs, chunk, scatterBody),
 		)
 	}
 	runs, err := collectiveRuns(env, jobs)

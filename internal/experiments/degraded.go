@@ -67,7 +67,7 @@ func DegradedSweep(env *Env, chunk int64) (*DegradedSweepResult, error) {
 			points = append(points, point{tp.topo, frac})
 			jobs = append(jobs, collectiveJob(
 				fmt.Sprintf("degraded/%s/frac=%g", tp.topo, frac),
-				cfg, len(plat.Hosts()), chunk, runAlltoall))
+				cfg, len(plat.Hosts()), chunk, alltoallBody))
 		}
 	}
 	runs, err := collectiveRuns(env, jobs)

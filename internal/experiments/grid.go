@@ -9,13 +9,13 @@ import (
 	"smpigo/internal/campaign"
 	"smpigo/internal/core"
 	"smpigo/internal/dynamics"
+	"smpigo/internal/emu"
 	"smpigo/internal/obs"
 	"smpigo/internal/placement"
 	"smpigo/internal/platform"
 	"smpigo/internal/skampi"
 	"smpigo/internal/smpi"
 	"smpigo/internal/surf"
-	"smpigo/internal/topology"
 )
 
 // GridSpec describes an arbitrary scenario campaign beyond the paper's
@@ -24,18 +24,18 @@ import (
 // 3 models is 240 independent simulations — exactly the kind of sweep the
 // serial harness could never afford and the campaign pool makes routine.
 type GridSpec struct {
-	// Op is the measured operation: "scatter", "alltoall", "bcast",
-	// "allreduce", or "pingpong".
+	// Op is the measured operation, one of OpNames().
 	Op string `json:"op"`
-	// Procs are the process counts to sweep (pingpong always uses 2).
+	// Procs are the process counts to sweep; an op with a fixed process
+	// count (pingpong always uses 2) ignores them.
 	Procs []int `json:"procs"`
 	// Sizes are the per-rank message sizes in bytes.
 	Sizes []int64 `json:"sizes"`
-	// Models are the analytical point-to-point models to sweep for the
-	// surf backend: "piecewise", "bestfit", "default", "ideal".
+	// Models are the analytical point-to-point models (ModelNames) to
+	// sweep for the analytical backend; empty means the first of them.
 	Models []string `json:"models,omitempty"`
-	// Backends selects timing backends: "surf" (analytical; crossed with
-	// Models) and/or "openmpi", "mpich2" (packet-level testbed emulation).
+	// Backends selects timing backends (BackendNames): the analytical one,
+	// crossed with Models, and/or the packet-level testbed emulations.
 	Backends []string `json:"backends,omitempty"`
 	// Platform is "griffon" (default) or "gdx". Ignored when Topologies is
 	// set.
@@ -70,15 +70,11 @@ type GridSpec struct {
 	// them into Summary.Stats. Counters never enter the fingerprint, so a
 	// stats sweep fingerprints identically to a plain one.
 	Stats bool `json:"stats,omitempty"`
-	// SolverWorkers bounds each job's LMM worker pool (smpi.Config's
-	// SolverWorkers field). Results are bit-identical at any setting, so —
-	// like Stats — it never moves a fingerprint.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// RateTolerance opts every surf job into bounded-staleness solving
 	// (smpi.Config's RateTolerance field). 0 is exact. A positive eps
 	// changes simulated times deterministically: fingerprints remain
-	// bit-identical at any -parallel or SolverWorkers setting, but differ
-	// from the exact-mode fingerprints.
+	// bit-identical at any -parallel setting, but differ from the
+	// exact-mode fingerprints.
 	RateTolerance float64 `json:"rate_tolerance,omitempty"`
 	// ShardIndex/ShardCount split the expanded grid by job-index range so
 	// one sweep can run across several processes or machines: shard i of n
@@ -103,40 +99,145 @@ type gridPoint struct {
 	model     string // empty for emulated backends
 }
 
-func (e *Env) gridModel(name string) (surf.NetModel, error) {
-	switch strings.ToLower(name) {
-	case "piecewise":
-		return e.Piecewise, nil
-	case "bestfit":
-		return e.BestFit, nil
-	case "default":
-		return e.Default, nil
-	case "ideal":
-		return surf.Ideal(), nil
-	default:
-		return surf.NetModel{}, fmt.Errorf("unknown model %q (want piecewise, bestfit, default, ideal)", name)
-	}
+// gridOp is one operation a grid can sweep: its process-count rule, its
+// payload rule, and what each of its jobs runs.
+type gridOp struct {
+	name string
+	// fixedProcs, when non-zero, replaces the procs axis: the op always
+	// runs on that many ranks.
+	fixedProcs int
+	// checkSize, when non-nil, restricts the per-rank payload beyond being
+	// positive.
+	checkSize func(size int64) error
+	// body is the collective every rank runs, timed from a barrier; an op
+	// that is not a collective sets job instead, which builds the whole
+	// job (ID and tags are set by gridJob).
+	body collective
+	job  func(pt gridPoint, plat *platform.Platform, cfg smpi.Config) campaign.Job
 }
 
-// gridPlatform resolves a platform-axis value: the paper's clusters by
-// name, then topology presets and shape strings. Generated platforms are
-// cached on the env so every job of a sweep shares one instance (and its
-// memoized route table).
+func (o gridOp) key() string { return o.name }
+
+// gridOps is the single definition of the grid's operations.
+var gridOps = []gridOp{
+	{name: "scatter", body: scatterBody},
+	{name: "alltoall", body: alltoallBody},
+	{name: "bcast", body: bcastBody},
+	{name: "allreduce", body: allreduceBody, checkSize: float64Payload},
+	{name: "pingpong", fixedProcs: 2, job: pingPongGridJob},
+}
+
+// gridBackend is a timing backend: the analytical one crosses with the
+// model axis and accepts dynamics; the others emulate the testbed at
+// packet level, running impl (nil: OpenMPI, the emulator's default).
+type gridBackend struct {
+	name       string
+	analytical bool
+	impl       func() emu.MPIImpl
+}
+
+func (b gridBackend) key() string { return b.name }
+
+// gridBackends is the single definition of the grid's timing backends.
+var gridBackends = []gridBackend{
+	{"surf", true, nil},
+	{"openmpi", false, nil},
+	{"mpich2", false, mpich2},
+}
+
+// gridModel is an analytical point-to-point model, read off the calibrated
+// env.
+type gridModel struct {
+	name  string
+	model func(e *Env) surf.NetModel
+}
+
+func (m gridModel) key() string { return m.name }
+
+// gridModels is the single definition of the analytical models; the first
+// is the default.
+var gridModels = []gridModel{
+	{"piecewise", func(e *Env) surf.NetModel { return e.Piecewise }},
+	{"bestfit", func(e *Env) surf.NetModel { return e.BestFit }},
+	{"default", func(e *Env) surf.NetModel { return e.Default }},
+	{"ideal", func(*Env) surf.NetModel { return surf.Ideal() }},
+}
+
+// Model returns the named analytical point-to-point model (ModelNames).
+func (e *Env) Model(name string) (surf.NetModel, error) {
+	m, err := lookup("model", gridModels, name)
+	if err != nil {
+		return surf.NetModel{}, err
+	}
+	return m.model(e), nil
+}
+
+// CollectiveOps lists the grid ops that are collectives (see
+// CollectiveApp).
+func CollectiveOps() []string {
+	var out []string
+	for _, op := range gridOps {
+		if op.body != nil {
+			out = append(out, op.name)
+		}
+	}
+	return out
+}
+
+// CollectiveApp returns the application a collective grid op runs: every
+// rank synchronizes on a barrier, then runs the collective with chunk
+// bytes per rank — the body each grid job of that op measures. It returns
+// nil, nil when op is not a collective grid op, and an error when chunk
+// breaks the op's payload rule.
+func CollectiveApp(op string, chunk int64) (func(*smpi.Rank), error) {
+	o, err := lookup("op", gridOps, op)
+	if err != nil || o.body == nil {
+		return nil, nil
+	}
+	if o.checkSize != nil {
+		if err := o.checkSize(chunk); err != nil {
+			return nil, fmt.Errorf("%s: %w", o.name, err)
+		}
+	}
+	return func(r *smpi.Rank) {
+		c := r.Comm()
+		c.Barrier(r)
+		o.body(r, c, chunk)
+	}, nil
+}
+
+// cluster is one of the paper's measured clusters, addressable by name on
+// the platform and topology axes.
+type cluster struct {
+	name     string
+	platform func(e *Env) *platform.Platform
+}
+
+func (c cluster) key() string { return c.name }
+
+// clusters lists the paper's clusters; the first is the platform of a spec
+// without a platform or topology axis.
+var clusters = []cluster{
+	{"griffon", func(e *Env) *platform.Platform { return e.Griffon }},
+	{"gdx", func(e *Env) *platform.Platform { return e.Gdx }},
+}
+
+// gridPlatform resolves a normalized platform-axis value: the paper's
+// clusters by name, then topology presets and shape strings. Generated
+// platforms are cached on the env so every job of a sweep shares one
+// instance (and its memoized route table).
 func (e *Env) gridPlatform(name string) (*platform.Platform, error) {
-	switch strings.ToLower(name) {
-	case "", "griffon":
-		return e.Griffon, nil
-	case "gdx":
-		return e.Gdx, nil
+	if c, ok := find(clusters, name); ok {
+		return c.platform(e), nil
 	}
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
 	if p, ok := e.topoPlatforms[name]; ok {
 		return p, nil
 	}
-	spec, err := topology.ParseSpec(name)
+	spec, err := platformSpec(name)
 	if err != nil {
-		return nil, fmt.Errorf("unknown platform %q (want griffon, gdx, or a topology: %w)", name, err)
+		return nil, err
 	}
 	p, err := spec.Build()
 	if err != nil {
@@ -149,97 +250,34 @@ func (e *Env) gridPlatform(name string) (*platform.Platform, error) {
 	return p, nil
 }
 
-// expand validates the spec and returns the scenario points in grid order.
-// Repeated list elements are deduplicated, and pingpong — which always runs
-// between two fixed endpoints — collapses the procs dimension.
-func (spec GridSpec) expand() ([]gridPoint, error) {
-	if len(spec.Procs) == 0 || len(spec.Sizes) == 0 {
-		return nil, fmt.Errorf("grid: need at least one process count and one size")
+// expand normalizes the spec and returns it with its scenario points in
+// grid order: the cross product of the normalized axes, in the caller's
+// order, sliced to the spec's shard.
+func (spec GridSpec) expand() (GridSpec, []gridPoint, error) {
+	c, err := spec.normalize()
+	if err != nil {
+		return GridSpec{}, nil, err
 	}
-	if len(spec.Backends) == 0 {
-		return nil, fmt.Errorf("grid: need at least one backend")
-	}
-	procCounts := spec.Procs
-	op := strings.ToLower(spec.Op)
-	if op == "pingpong" {
-		procCounts = []int{2}
-	}
-	if op == "allreduce" {
-		for _, size := range spec.Sizes {
-			if err := checkFloat64Payload("grid: allreduce", size); err != nil {
-				return nil, err
-			}
+	orNone := func(axis []string) []string {
+		if len(axis) == 0 {
+			return []string{""}
 		}
+		return axis
 	}
-	topos := spec.Topologies
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
-	places := make([]string, 0, len(spec.Placements))
-	for _, pl := range spec.Placements {
-		canonical, err := placement.Normalize(pl)
-		if err != nil {
-			return nil, fmt.Errorf("grid: %w", err)
-		}
-		places = append(places, canonical)
-	}
-	if len(places) == 0 {
-		places = []string{""}
-	}
-	// Canonicalize the dynamics axis up front so "2ms" and "0.002s" variants
-	// of one schedule collapse to one grid point.
-	dyns := make([]string, 0, len(spec.Dynamics))
-	for _, d := range spec.Dynamics {
-		sched, err := dynamics.Parse(d)
-		if err != nil {
-			return nil, fmt.Errorf("grid: dynamics %q: %w", d, err)
-		}
-		if sched == nil {
-			dyns = append(dyns, "")
-		} else {
-			dyns = append(dyns, sched.String())
-		}
-	}
-	if len(dyns) == 0 {
-		dyns = []string{""}
-	}
-	seen := make(map[gridPoint]bool)
 	var points []gridPoint
-	add := func(pt gridPoint) {
-		if !seen[pt] {
-			seen[pt] = true
-			points = append(points, pt)
-		}
-	}
-	for _, topo := range topos {
-		for _, dyn := range dyns {
-			for _, place := range places {
-				for _, procs := range procCounts {
-					if procs < 2 {
-						return nil, fmt.Errorf("grid: process count %d below 2", procs)
-					}
-					for _, size := range spec.Sizes {
-						if size <= 0 {
-							return nil, fmt.Errorf("grid: non-positive size %d", size)
-						}
-						for _, backend := range spec.Backends {
-							backend = strings.ToLower(backend)
-							switch backend {
-							case "surf":
-								models := spec.Models
-								if len(models) == 0 {
-									models = []string{"piecewise"}
-								}
-								for _, m := range models {
-									add(gridPoint{topo, dyn, place, procs, size, backend, strings.ToLower(m)})
-								}
-							case "openmpi", "mpich2":
-								if dyn != "" {
-									return nil, fmt.Errorf("grid: dynamics require the surf backend, got %q", backend)
-								}
-								add(gridPoint{topo, dyn, place, procs, size, backend, ""})
-							default:
-								return nil, fmt.Errorf("grid: unknown backend %q (want surf, openmpi, mpich2)", backend)
+	for _, topo := range orNone(c.Topologies) {
+		for _, dyn := range orNone(c.Dynamics) {
+			for _, place := range orNone(c.Placements) {
+				for _, procs := range c.Procs {
+					for _, size := range c.Sizes {
+						for _, name := range c.Backends {
+							b, _ := find(gridBackends, name)
+							models := []string{""}
+							if b.analytical {
+								models = c.Models
+							}
+							for _, m := range models {
+								points = append(points, gridPoint{topo, dyn, place, procs, size, name, m})
 							}
 						}
 					}
@@ -247,30 +285,40 @@ func (spec GridSpec) expand() ([]gridPoint, error) {
 			}
 		}
 	}
-	return shardSlice(points, spec.ShardIndex, spec.ShardCount)
+	return c, shardSlice(points, c.ShardIndex, c.ShardCount), nil
+}
+
+// checkShard validates a shard index and count: count 0 (with index 0)
+// means unsharded, otherwise index must lie in [0, count).
+func checkShard(index, count int) error {
+	if count == 0 {
+		if index != 0 {
+			return fmt.Errorf("grid: shard index %d without a shard count", index)
+		}
+		return nil
+	}
+	if count < 0 {
+		return fmt.Errorf("grid: negative shard count %d", count)
+	}
+	if index < 0 || index >= count {
+		return fmt.Errorf("grid: shard index %d out of range [0,%d)", index, count)
+	}
+	return nil
 }
 
 // shardSlice keeps shard index's contiguous job-index range of the expanded
-// grid. The balanced-split arithmetic (lo = i·P/n) guarantees the n ranges
-// tile [0, P) exactly — every point lands in precisely one shard, shards
-// differ in size by at most one point, and a shard count beyond the grid
-// size yields empty shards rather than an error.
-func shardSlice(points []gridPoint, index, count int) ([]gridPoint, error) {
+// grid (checkShard has validated the pair). The balanced-split arithmetic
+// (lo = i·P/n) guarantees the n ranges tile [0, P) exactly — every point
+// lands in precisely one shard, shards differ in size by at most one point,
+// and a shard count beyond the grid size yields empty shards rather than an
+// error.
+func shardSlice(points []gridPoint, index, count int) []gridPoint {
 	if count == 0 {
-		if index != 0 {
-			return nil, fmt.Errorf("grid: shard index %d without a shard count", index)
-		}
-		return points, nil
-	}
-	if count < 0 {
-		return nil, fmt.Errorf("grid: negative shard count %d", count)
-	}
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("grid: shard index %d out of range [0,%d)", index, count)
+		return points
 	}
 	lo := index * len(points) / count
 	hi := (index + 1) * len(points) / count
-	return points[lo:hi], nil
+	return points[lo:hi]
 }
 
 // ParseShard parses the "i/n" shard shorthand (e.g. "0/2") used by the
@@ -336,7 +384,7 @@ func (pt gridPoint) tags(op string) map[string]string {
 // the campaign service runs before accepting a request, so malformed specs
 // fail with a 400 instead of a queued failure.
 func (spec GridSpec) Jobs() (int, error) {
-	points, err := spec.expand()
+	_, points, err := spec.expand()
 	if err != nil {
 		return 0, err
 	}
@@ -371,7 +419,11 @@ func (e *Env) GridCampaign(spec GridSpec) (*campaign.Summary, error) {
 // seed, and result-streaming control — the entry point the campaign service
 // uses, where one shared Env serves many concurrent requests.
 func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summary, error) {
-	points, err := spec.expand()
+	spec, points, err := spec.expand()
+	if err != nil {
+		return nil, err
+	}
+	op, err := lookup("op", gridOps, spec.Op)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +431,6 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	op := strings.ToLower(spec.Op)
 	jobs := make([]campaign.Job, 0, len(points))
 	for _, pt := range points {
 		platName := pt.topo
@@ -395,7 +446,6 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 			return nil, err
 		}
 		cfg.Algorithms = algos
-		cfg.SolverWorkers = spec.SolverWorkers
 		cfg.RateTolerance = spec.RateTolerance
 		if pt.dynamics != "" {
 			// Re-parse the canonical form per job: schedules are armed on the
@@ -415,10 +465,7 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 			st = new(obs.Stats)
 			cfg.Stats = st
 		}
-		job, err := gridJob(op, pt, plat, cfg)
-		if err != nil {
-			return nil, err
-		}
+		job := gridJob(op, pt, plat, cfg)
 		if st != nil {
 			inner := job.Run
 			job.Run = func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
@@ -446,43 +493,42 @@ func (e *Env) GridCampaignOpts(spec GridSpec, o CampaignOptions) (*campaign.Summ
 	return campaign.RunAll(ctx, campaign.Options{Workers: workers, Seed: seed, OnResult: o.OnResult}, jobs), nil
 }
 
+// gridConfig returns the simulation config of one scenario point.
 func (e *Env) gridConfig(plat *platform.Platform, pt gridPoint) (smpi.Config, error) {
-	switch pt.backend {
-	case "surf":
-		m, err := e.gridModel(pt.model)
-		if err != nil {
-			return smpi.Config{}, err
-		}
-		return surfConfig(plat, m), nil
-	case "mpich2":
-		cfg := emuConfig(plat)
-		cfg.Impl = mpich2()
-		return cfg, nil
-	default: // openmpi
-		return emuConfig(plat), nil
+	b, err := lookup("backend", gridBackends, pt.backend)
+	if err != nil {
+		return smpi.Config{}, err
 	}
+	if !b.analytical {
+		cfg := emuConfig(plat)
+		if b.impl != nil {
+			cfg.Impl = b.impl()
+		}
+		return cfg, nil
+	}
+	model, err := e.Model(pt.model)
+	if err != nil {
+		return smpi.Config{}, err
+	}
+	return surfConfig(plat, model), nil
 }
 
-func gridJob(op string, pt gridPoint, plat *platform.Platform, cfg smpi.Config) (campaign.Job, error) {
-	runs := map[string]func(smpi.Config, int, int64) (*collectiveRun, error){
-		"scatter":   runScatter,
-		"alltoall":  runAlltoall,
-		"bcast":     runBcast,
-		"allreduce": runAllreduce,
+// gridJob builds the campaign job of one scenario point of op.
+func gridJob(op gridOp, pt gridPoint, plat *platform.Platform, cfg smpi.Config) campaign.Job {
+	var j campaign.Job
+	if op.job != nil {
+		j = op.job(pt, plat, cfg)
+	} else {
+		j = placedCollectiveJob("", cfg, pt.placement, pt.procs, pt.size, op.body)
 	}
-	if run, ok := runs[op]; ok {
-		j := placedCollectiveJob(pt.id(op), cfg, pt.placement, pt.procs, pt.size, run)
-		j.Tags = pt.tags(op)
-		return j, nil
-	}
-	if op != "pingpong" {
-		return campaign.Job{}, fmt.Errorf("grid: unknown op %q (want scatter, alltoall, bcast, allreduce, pingpong)", op)
-	}
-	size := pt.size
-	place := pt.placement
+	j.ID, j.Tags = pt.id(op.name), pt.tags(op.name)
+	return j
+}
+
+// pingPongGridJob measures the SKaMPI one-way ping-pong time of pt.size
+// bytes between two ranks.
+func pingPongGridJob(pt gridPoint, plat *platform.Platform, cfg smpi.Config) campaign.Job {
 	return campaign.Job{
-		ID:   pt.id(op),
-		Tags: pt.tags(op),
 		Run: func(ctx *campaign.Ctx) (*campaign.Outcome, error) {
 			base := cfg
 			base.Seed = ctx.Seed
@@ -490,8 +536,8 @@ func gridJob(op string, pt gridPoint, plat *platform.Platform, cfg smpi.Config) 
 			// mapping (e.g. same leaf under "block", distinct leaves under
 			// "rr") instead of the platform's first two hosts.
 			a, b := plat.HostByID(0), plat.HostByID(1)
-			if place != "" {
-				hosts, err := placement.Generate(place, plat, 2, ctx.Seed)
+			if pt.placement != "" {
+				hosts, err := placement.Generate(pt.placement, plat, 2, ctx.Seed)
 				if err != nil {
 					return nil, err
 				}
@@ -500,7 +546,7 @@ func gridJob(op string, pt gridPoint, plat *platform.Platform, cfg smpi.Config) 
 			samples, err := skampi.PingPong(skampi.PingPongConfig{
 				Base: base,
 				A:    a, B: b,
-				Sizes: []int64{size},
+				Sizes: []int64{pt.size},
 			})
 			if err != nil {
 				return nil, err
@@ -511,7 +557,7 @@ func gridJob(op string, pt gridPoint, plat *platform.Platform, cfg smpi.Config) 
 				Payload:       samples,
 			}, nil
 		},
-	}, nil
+	}
 }
 
 // GridTable renders a grid campaign summary as an aligned table, one row

@@ -47,8 +47,8 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	if chunk == 0 {
 		chunk = 256 * core.KiB
 	}
-	if err := checkFloat64Payload("placement sweep", chunk); err != nil {
-		return nil, err
+	if err := float64Payload(chunk); err != nil {
+		return nil, fmt.Errorf("placement sweep: %w", err)
 	}
 	// The ops pair the auto-selected algorithms with a forced ring
 	// allreduce: ring schedules only talk to rank neighbors, so they are
@@ -58,11 +58,11 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 	ops := []struct {
 		name  string
 		algos smpi.Algorithms
-		run   func(smpi.Config, int, int64) (*collectiveRun, error)
+		body  collective
 	}{
-		{"allreduce(auto)", smpi.Auto(), runAllreduce},
-		{"allreduce(ring)", smpi.Algorithms{Allreduce: "ring"}, runAllreduce},
-		{"alltoall", smpi.Auto(), runAlltoall},
+		{"allreduce(auto)", smpi.Auto(), allreduceBody},
+		{"allreduce(ring)", smpi.Algorithms{Allreduce: "ring"}, allreduceBody},
+		{"alltoall", smpi.Auto(), alltoallBody},
 	}
 	type point struct {
 		topo, op, place string
@@ -81,7 +81,7 @@ func PlacementSweep(env *Env, chunk int64) (*PlacementSweepResult, error) {
 				cfg.Algorithms = op.algos
 				jobs = append(jobs, placedCollectiveJob(
 					fmt.Sprintf("placement/%s/%s/%s", topo, op.name, place),
-					cfg, place, len(plat.Hosts()), chunk, op.run))
+					cfg, place, len(plat.Hosts()), chunk, op.body))
 			}
 		}
 	}

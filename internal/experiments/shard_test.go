@@ -169,17 +169,7 @@ func TestCampaignKeySeparates(t *testing.T) {
 		t.Error("different seeds share a campaign key")
 	}
 
-	// Result-identical perf knobs are masked out; result-changing ones are
-	// not.
-	workers := spec
-	workers.SolverWorkers = 8
-	kw, err := workers.CampaignKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kw != k1 {
-		t.Error("SolverWorkers moved the campaign key despite bit-identical results")
-	}
+	// Result-changing knobs move the key.
 	eps := spec
 	eps.RateTolerance = 1e-3
 	ke, err := eps.CampaignKey(1)

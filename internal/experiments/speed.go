@@ -30,8 +30,8 @@ type SpeedResult struct {
 // (emulated) real execution time. The paper's claim is that on-line
 // simulation runs faster than the real application, increasingly so with
 // message size; with an analytical backend the speedup here is much larger
-// than the paper's 3.6-5.3x (our testbed is itself simulated — see
-// EXPERIMENTS.md).
+// than the paper's 3.6-5.3x, because the reference testbed is itself the
+// packet-level emulation (internal/emu), not real hardware.
 func Figure17(env *Env) (*SpeedResult, error) {
 	const procs = 16
 	res := &SpeedResult{Table: &Table{
@@ -49,10 +49,10 @@ func Figure17(env *Env) (*SpeedResult, error) {
 	for _, size := range sizes {
 		emuJobs = append(emuJobs, collectiveJob(
 			fmt.Sprintf("fig17/size=%s/openmpi", core.FormatBytes(size)),
-			emuConfig(env.Griffon), procs, size, runScatter))
+			emuConfig(env.Griffon), procs, size, scatterBody))
 		surfJobs = append(surfJobs, collectiveJob(
 			fmt.Sprintf("fig17/size=%s/smpi", core.FormatBytes(size)),
-			surfConfig(env.Griffon, env.Piecewise), procs, size, runScatter))
+			surfConfig(env.Griffon, env.Piecewise), procs, size, scatterBody))
 	}
 	emuRuns, err := collectiveRuns(env, emuJobs)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"smpigo/internal/campaign"
 	"smpigo/internal/core"
-	"smpigo/internal/smpi"
 	"smpigo/internal/topology"
 )
 
@@ -29,22 +28,6 @@ func topoCollectivesTopos() []string {
 // fattree64 and torus64 exactly, so every host link is exercised.
 const TopoCollectivesProcs = 64
 
-// runBcast measures one broadcast of chunk bytes from rank 0.
-func runBcast(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		c.Bcast(r, make([]byte, chunk), 0)
-	})
-}
-
-// runAllreduce measures one allreduce of chunk bytes (float64 sums).
-func runAllreduce(cfg smpi.Config, procs int, chunk int64) (*collectiveRun, error) {
-	return measureCollective(cfg, procs, func(r *smpi.Rank, c *smpi.Comm) {
-		sendbuf := make([]byte, chunk)
-		recvbuf := make([]byte, chunk)
-		c.Allreduce(r, sendbuf, recvbuf, smpi.Float64, smpi.OpSum)
-	})
-}
-
 // TopoCollectives compares ring against tree collectives across
 // interconnect shapes: a ring schedule only talks to neighbors (which tori
 // absorb on local cables), while binomial trees and recursive doubling jump
@@ -57,20 +40,20 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 	if chunk == 0 {
 		chunk = 256 * core.KiB
 	}
-	if err := checkFloat64Payload("topo collectives", chunk); err != nil {
-		return nil, err
+	if err := float64Payload(chunk); err != nil {
+		return nil, fmt.Errorf("topo collectives: %w", err)
 	}
 	type point struct {
 		topo, op, algo string
-		run            func(smpi.Config, int, int64) (*collectiveRun, error)
+		body           collective
 	}
 	var points []point
 	for _, topo := range topoCollectivesTopos() {
 		for _, algo := range []string{"binomial", "ring"} {
-			points = append(points, point{topo, "bcast", algo, runBcast})
+			points = append(points, point{topo, "bcast", algo, bcastBody})
 		}
 		for _, algo := range []string{"recursive-doubling", "ring"} {
-			points = append(points, point{topo, "allreduce", algo, runAllreduce})
+			points = append(points, point{topo, "allreduce", algo, allreduceBody})
 		}
 	}
 
@@ -88,7 +71,7 @@ func TopoCollectives(env *Env, chunk int64) (*TopoCollectivesResult, error) {
 			cfg.Algorithms.Allreduce = pt.algo
 		}
 		j := collectiveJob(fmt.Sprintf("topo/%s/%s/%s", pt.topo, pt.op, pt.algo),
-			cfg, TopoCollectivesProcs, chunk, pt.run)
+			cfg, TopoCollectivesProcs, chunk, pt.body)
 		j.Tags["topo"], j.Tags["op"], j.Tags["algo"] = pt.topo, pt.op, pt.algo
 		jobs = append(jobs, j)
 	}

@@ -163,8 +163,7 @@ func BenchmarkLMMIncremental(b *testing.B) {
 		if !pat.random {
 			continue
 		}
-		// random512 is the giant-component case the tentpole attacks from
-		// both sides; the two extra sub-benches measure each side alone.
+		// random512 is the giant-component case.
 		//
 		// partial: bounded-staleness intra-component re-solve. eps=1e-3
 		// keeps the re-fair region around the churned flow instead of
@@ -190,48 +189,20 @@ func BenchmarkLMMIncremental(b *testing.B) {
 				b.ReportMetric(float64(stats.PartialFallbacks)*per, "fallbacks/op")
 			}
 		})
-		// parallel: exact solve with the worker pool armed (0 = GOMAXPROCS,
-		// which CI pins to 2). random512's dirty set is usually one giant
-		// component, so the pool rarely engages — the sub-bench gates the
-		// no-regression half of the contract: arming workers must cost ~0
-		// when there is nothing to farm out.
-		b.Run(pat.name+"/parallel", func(b *testing.B) {
-			ft := setup(b)
-			ft.sys.SetSolverWorkers(0)
-			var stats lmm.Stats
-			if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
-				ft.sys.Stats = &stats
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ft.churn(pat.random)
-				ft.sys.Solve()
-			}
-			if ft.sys.Stats != nil && b.N > 0 {
-				per := 1 / float64(b.N)
-				b.ReportMetric(float64(stats.ParallelSolves)*per, "parallelsolves/op")
-				b.ReportMetric(float64(stats.ParallelComponents)*per, "parallelcomps/op")
-			}
-		})
 	}
 
 	// pods8x64: the multi-component counterpart to random512 — 8 independent
 	// 64-flow pods, each pod's pairs drawn from one leaf switch's 16 hosts so
 	// D-mod-k keeps every route under that leaf and the pods never couple.
 	// Churning one flow in every pod per event dirties 8 disjoint 64-var
-	// components at once: the exact shape the cross-component worker pool is
-	// for, and the parallel gate entry that must beat (or match, on few
-	// cores) the serial incremental one.
+	// components at once, so the entry measures multi-component churn.
 	const (
 		pods        = 8
 		flowsPerPod = 64
 		hostsPerPod = 16
 	)
-	podsSetup := func(b *testing.B, workers int) (*fatTreeBench, [][]*lmm.Variable) {
+	b.Run("pods8x64/incremental", func(b *testing.B) {
 		ft := newFatTreeBench(b, shape)
-		if workers != 1 {
-			ft.sys.SetSolverWorkers(workers)
-		}
 		podVars := make([][]*lmm.Variable, pods)
 		for p := range podVars {
 			podVars[p] = make([]*lmm.Variable, flowsPerPod)
@@ -241,41 +212,24 @@ func BenchmarkLMMIncremental(b *testing.B) {
 			}
 		}
 		ft.sys.SolveFull()
-		return ft, podVars
-	}
-	podsChurn := func(ft *fatTreeBench, podVars [][]*lmm.Variable) {
-		for p := range podVars {
-			i := ft.rng.Intn(flowsPerPod)
-			ft.sys.RemoveVariable(podVars[p][i])
-			src, dst := ft.podPair(p, hostsPerPod)
-			podVars[p][i] = ft.newFlow(src, dst)
+		var stats lmm.Stats
+		if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
+			ft.sys.Stats = &stats
 		}
-	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"incremental", 1},
-		{"parallel", 0},
-	} {
-		b.Run("pods8x64/"+mode.name, func(b *testing.B) {
-			ft, podVars := podsSetup(b, mode.workers)
-			var stats lmm.Stats
-			if os.Getenv("SMPIGO_BENCH_COUNTERS") != "" {
-				ft.sys.Stats = &stats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for p := range podVars {
+				j := ft.rng.Intn(flowsPerPod)
+				ft.sys.RemoveVariable(podVars[p][j])
+				src, dst := ft.podPair(p, hostsPerPod)
+				podVars[p][j] = ft.newFlow(src, dst)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				podsChurn(ft, podVars)
-				ft.sys.Solve()
-			}
-			if ft.sys.Stats != nil && b.N > 0 {
-				per := 1 / float64(b.N)
-				b.ReportMetric(float64(stats.Components)*per, "components/op")
-				b.ReportMetric(float64(stats.ParallelComponents)*per, "parallelcomps/op")
-			}
-		})
-	}
+			ft.sys.Solve()
+		}
+		if ft.sys.Stats != nil && b.N > 0 {
+			b.ReportMetric(float64(stats.Components)/float64(b.N), "components/op")
+		}
+	})
 }
 
 // podPair draws a random ordered pair of distinct hosts from pod p's leaf

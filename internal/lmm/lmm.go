@@ -119,22 +119,18 @@ type System struct {
 
 	// comps holds the components collected by the current Solve, in
 	// discovery order; slots and their member slices are reused across
-	// solves. panics collects worker panics for deterministic re-raise.
-	// sortComps tells collectPending whether member lists must come out in
+	// solves. sortComps tells collectPending whether member lists must come out in
 	// creation order (the exact path) or may stay in traversal order (the
 	// bounded-staleness path, which sorts only its re-fill region).
 	comps     []component
-	panics    []any
 	sortComps bool
 
-	// scratches are the per-worker fill scratch areas; index 0 doubles as
-	// the serial path's scratch.
-	scratches []*solveScratch
+	// scratch is the fill scratch area every component and region solve
+	// reuses.
+	scratch solveScratch
 
-	// workers bounds the component worker pool (see SetSolverWorkers);
-	// 0 or 1 means serial. rateTol is the bounded-staleness tolerance
-	// (see SetRateTolerance); 0 means exact.
-	workers int
+	// rateTol is the bounded-staleness tolerance (see SetRateTolerance);
+	// 0 means exact.
 	rateTol float64
 
 	// resolved accumulates the variables whose components the last Solve
@@ -158,18 +154,13 @@ type component struct {
 	partial  []*Variable
 }
 
-// solveScratch is the per-worker scratch a component or region fill runs
-// on. Each pool worker owns one, so concurrent component solves never share
-// mutable state outside their own (disjoint) members; stats points at the
-// System's Stats on the serial path and at local for pool workers, merged
-// after the barrier.
+// solveScratch holds the active and region lists a component or region
+// fill runs on; their backing arrays are reused across solves.
 type solveScratch struct {
 	actCons    []*Constraint
 	actVars    []*Variable
 	regionCons []*Constraint
 	regionVars []*Variable
-	stats      *Stats
-	local      Stats
 }
 
 // New returns an empty system.

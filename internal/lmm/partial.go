@@ -45,7 +45,8 @@ func materially(prev, next, eps float64) bool {
 // caller's full solve — when the region outgrows half the component (the
 // ripple did not decay, so a full solve is cheaper) or fails to converge
 // within partialMaxWaves.
-func (s *System) partialRefill(c *component, sc *solveScratch) bool {
+func (s *System) partialRefill(c *component) bool {
+	sc := &s.scratch
 	epoch := s.epoch
 	regionVars := sc.regionVars[:0]
 	regionCons := sc.regionCons[:0]
@@ -130,14 +131,14 @@ func (s *System) partialRefill(c *component, sc *solveScratch) bool {
 	for wave := 0; ; wave++ {
 		if len(regionVars) > limit || wave == partialMaxWaves {
 			sc.regionVars, sc.regionCons = regionVars[:0], regionCons[:0]
-			if st := sc.stats; st != nil {
+			if st := s.Stats; st != nil {
 				st.PartialFallbacks++
 			}
 			return false
 		}
 		slices.SortFunc(regionCons, func(a, b *Constraint) int { return a.id - b.id })
 		slices.SortFunc(regionVars, func(a, b *Variable) int { return a.id - b.id })
-		s.solveRegion(regionCons, regionVars, sc)
+		s.solveRegion(regionCons, regionVars)
 
 		// Expansion: any region variable whose rate moved materially
 		// invalidates the shares on its constraints, so those constraints
@@ -160,7 +161,7 @@ func (s *System) partialRefill(c *component, sc *solveScratch) bool {
 		}
 	}
 
-	if st := sc.stats; st != nil {
+	if st := s.Stats; st != nil {
 		st.PartialRefills++
 		st.VarsResolved += uint64(len(regionVars))
 		st.PartialVarsSkipped += uint64(len(c.vars) - len(regionVars))
@@ -180,7 +181,8 @@ func (s *System) partialRefill(c *component, sc *solveScratch) bool {
 // attachment list. The fill loop itself is shared, so within the region
 // every floating-point operation follows the same compaction discipline a
 // full solve uses.
-func (s *System) solveRegion(cons []*Constraint, vars []*Variable, sc *solveScratch) {
+func (s *System) solveRegion(cons []*Constraint, vars []*Variable) {
+	sc := &s.scratch
 	for _, c := range cons {
 		c.active = false
 		c.liveVars = c.liveVars[:0]

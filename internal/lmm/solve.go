@@ -3,10 +3,7 @@ package lmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // fixTol is the relative tolerance deciding that a live share or bound is
@@ -21,38 +18,9 @@ const fixTol = 1e-12
 // silently clamped away.
 const overTol = 1e-9
 
-// parallelMinVars is the minimum total variable count (summed over the dirty
-// components of one Solve) before the worker pool is worth its goroutine
-// hand-off cost. Below it — the neighbor-churn regime, where an event
-// re-solves a handful of variables in a few hundred nanoseconds — the solve
-// stays on the caller's stack.
-const parallelMinVars = 96
-
 // partialMaxWaves bounds the region-growing waves of a bounded-staleness
 // partial re-fill before giving up and re-solving the component in full.
 const partialMaxWaves = 8
-
-// SetSolverWorkers bounds the worker pool Solve may use to solve independent
-// dirty components concurrently. n <= 0 selects GOMAXPROCS. The default for
-// a new System is 1 (serial). Any worker count produces bit-identical
-// allocations and an identical Resolved() order: components share no
-// mutable state (that is what makes them components), each is solved by
-// exactly one worker with the same member ordering the serial path uses, and
-// results are merged back in component-discovery order.
-func (s *System) SetSolverWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.workers = n
-}
-
-// SolverWorkers reports the configured worker bound (1 = serial).
-func (s *System) SolverWorkers() int {
-	if s.workers <= 0 {
-		return 1
-	}
-	return s.workers
-}
 
 // SetRateTolerance sets the bounded-staleness tolerance eps. Zero (the
 // default) keeps Solve exact. With eps > 0, Solve may re-fill only the
@@ -81,13 +49,11 @@ func (s *System) RateTolerance() float64 { return s.rateTol }
 // constraints. FatPipe constraints never couple variables (they only cap
 // each crossing variable individually), so they do not merge components.
 //
-// Solve runs in three phases: collect the dirty components (serial — it
-// consumes the dirty set and the component marks), solve each component
-// (serial, or on the SetSolverWorkers pool when several components carry
-// enough variables), and publish Resolved() in component-discovery order.
-// The phases produce exactly the member sets, member ordering, and resolved
-// ordering of the historical solve-as-you-discover path, at any worker
-// count.
+// Solve runs in three phases: collect the dirty components (it consumes
+// the dirty set and the component marks), solve each component, and publish
+// Resolved() in component-discovery order. The phases produce exactly the
+// member sets, member ordering, and resolved ordering of the historical
+// solve-as-you-discover path.
 func (s *System) Solve() {
 	s.epoch++
 	s.resolved = s.resolved[:0]
@@ -181,8 +147,7 @@ func (s *System) SolveFull() {
 // dirty set seeded them), and within a component members appear in creation
 // order. surf's lazy drain relies on this order being a pure function of the
 // mutation history — it decides push order into the action heap for
-// same-date completions — and it is preserved at any SetSolverWorkers count.
-// The slice is valid until the next mutation or solve.
+// same-date completions. The slice is valid until the next mutation or solve.
 func (s *System) Resolved() []*Variable { return s.resolved }
 
 // collectSeedCons collects the component(s) reachable from a seed
@@ -271,117 +236,23 @@ func (s *System) nextComp() *component {
 	return c
 }
 
-// scratch returns the i-th per-worker scratch, growing the pool on demand.
-func (s *System) scratch(i int) *solveScratch {
-	for len(s.scratches) <= i {
-		s.scratches = append(s.scratches, &solveScratch{})
-	}
-	return s.scratches[i]
-}
-
-// solveCollected solves every collected component — serially, or on the
-// worker pool when it is enabled and the dirty components carry enough
-// variables to amortize the hand-off — then publishes Resolved() in
-// component-discovery order. partial enables the bounded-staleness re-fill.
+// solveCollected solves every collected component in discovery order, then
+// publishes Resolved() in the same order. partial enables the
+// bounded-staleness re-fill.
 func (s *System) solveCollected(partial bool) {
-	if len(s.comps) == 0 {
-		return
-	}
-	workers := s.workers
-	if workers > len(s.comps) {
-		workers = len(s.comps)
-	}
-	if workers > 1 {
-		total := 0
-		for i := range s.comps {
-			total += len(s.comps[i].vars)
-		}
-		if total < parallelMinVars {
-			workers = 1
-		}
-	}
-	if workers > 1 {
-		s.solveParallel(workers, partial)
-	} else {
-		sc := s.scratch(0)
-		sc.stats = s.Stats
-		for i := range s.comps {
-			s.solveOne(&s.comps[i], sc, partial)
-		}
+	for i := range s.comps {
+		s.solveOne(&s.comps[i], partial)
 	}
 	for i := range s.comps {
 		s.resolved = append(s.resolved, s.comps[i].resolved...)
 	}
 }
 
-// solveParallel farms the collected components out to a bounded worker pool.
-// Determinism does not depend on the assignment of components to workers:
-// every component is solved in isolation with the same member ordering the
-// serial path uses, workers write only to component-local state and their
-// own scratch, and the merge in solveCollected reads s.comps in discovery
-// order. Stats are accumulated per worker and merged after the barrier so
-// counters stay exact without atomics on the fill path.
-func (s *System) solveParallel(workers int, partial bool) {
-	if s.Stats != nil {
-		s.Stats.ParallelSolves++
-		s.Stats.ParallelComponents += uint64(len(s.comps))
-	}
-	if cap(s.panics) < len(s.comps) {
-		s.panics = make([]any, len(s.comps))
-	}
-	panics := s.panics[:len(s.comps)]
-	for i := range panics {
-		panics[i] = nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sc := s.scratch(w)
-		if s.Stats != nil {
-			sc.local = Stats{}
-			sc.stats = &sc.local
-		} else {
-			sc.stats = nil
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.comps) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					s.solveOne(&s.comps[i], sc, partial)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	// Re-raise the first panic in component order, so a solver bug reports
-	// identically at any worker count.
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	if s.Stats != nil {
-		for w := 0; w < workers; w++ {
-			s.Stats.mergeComponentCounters(&s.scratches[w].local)
-		}
-	}
-}
-
 // solveOne solves a single collected component, attempting a bounded-
 // staleness partial re-fill first when enabled, and records what it
 // resolved for the publish phase.
-func (s *System) solveOne(c *component, sc *solveScratch, partial bool) {
-	if st := sc.stats; st != nil {
+func (s *System) solveOne(c *component, partial bool) {
+	if st := s.Stats; st != nil {
 		st.Components++
 		if len(c.vars) > st.MaxComponentVars {
 			st.MaxComponentVars = len(c.vars)
@@ -391,7 +262,7 @@ func (s *System) solveOne(c *component, sc *solveScratch, partial bool) {
 		}
 	}
 	if partial {
-		if s.partialRefill(c, sc) {
+		if s.partialRefill(c) {
 			return
 		}
 		// Fallback to the exact component solve: restore the creation-order
@@ -399,9 +270,9 @@ func (s *System) solveOne(c *component, sc *solveScratch, partial bool) {
 		slices.SortFunc(c.cons, func(a, b *Constraint) int { return a.id - b.id })
 		slices.SortFunc(c.vars, func(a, b *Variable) int { return a.id - b.id })
 	}
-	s.solveComponent(c.cons, c.vars, sc)
+	s.solveComponent(c.cons, c.vars)
 	c.resolved = c.vars
-	if st := sc.stats; st != nil {
+	if st := s.Stats; st != nil {
 		st.VarsResolved += uint64(len(c.vars))
 	}
 }
@@ -444,7 +315,8 @@ func charge(v *Variable) {
 // determines a fair rate r; variables limited by it are fixed, their usage
 // is subtracted, and the process repeats. cons holds only the component's
 // Shared constraints; FatPipe caps enter through effectiveBound.
-func (s *System) solveComponent(cons []*Constraint, vars []*Variable, sc *solveScratch) {
+func (s *System) solveComponent(cons []*Constraint, vars []*Variable) {
+	sc := &s.scratch
 	for _, v := range vars {
 		v.fixed = false
 		v.Value = 0

@@ -63,9 +63,9 @@ func DTProcs(graph DTGraph, class DTClass) (int, error) {
 }
 
 // dtPayload returns the per-edge payload in bytes for a class. These are
-// the repository's scaled equivalents of NPB's num_samples feature arrays
-// (documented in DESIGN.md): large enough that class A/B runtimes on a
-// Gigabit cluster match the paper's seconds-scale measurements.
+// the repository's scaled equivalents of NPB's num_samples feature arrays:
+// large enough that class A/B runtimes on a Gigabit cluster match the
+// paper's seconds-scale measurements.
 func dtPayload(class DTClass) int {
 	switch class {
 	case ClassS:

@@ -6,7 +6,7 @@
 //
 // The cache is the piece the repo's determinism work already paid for:
 // identical (canonical spec, seed) pairs produce bit-identical summaries at
-// any -parallel and any SolverWorkers setting, so serving a repeat what-if
+// any -parallel setting, so serving a repeat what-if
 // query from the cache is provably indistinguishable from re-simulating it
 // — cache hits cost zero simulation and can never be wrong. Requests are
 // canonicalized before keying AND before running (experiments.Canonicalize),

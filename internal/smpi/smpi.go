@@ -77,11 +77,6 @@ type Config struct {
 	// events require BackendSurf with contention enabled; events dated after
 	// the last rank exits never fire.
 	Dynamics *dynamics.Schedule
-	// SolverWorkers bounds the LMM worker pool both surf models may use to
-	// solve independent dirty components concurrently. 0 (the default) and
-	// 1 are serial; negative selects GOMAXPROCS. Results are bit-identical
-	// at any setting. Ignored on BackendEmu.
-	SolverWorkers int
 	// RateTolerance opts the surf solvers into bounded staleness: flows and
 	// tasks whose rate would move by less than this relative eps keep their
 	// stale rate after a churn event. 0 (the default) is exact and
@@ -198,12 +193,6 @@ func Run(cfg Config, app func(*Rank)) (*Report, error) {
 		w.kernel.AddModel(w.enet)
 	default:
 		return nil, fmt.Errorf("smpi: unknown backend %d", cfg.Backend)
-	}
-	if cfg.SolverWorkers != 0 && cfg.SolverWorkers != 1 {
-		w.cpu.SetSolverWorkers(cfg.SolverWorkers)
-		if w.snet != nil {
-			w.snet.SetSolverWorkers(cfg.SolverWorkers)
-		}
 	}
 	if cfg.RateTolerance > 0 {
 		w.cpu.SetRateTolerance(cfg.RateTolerance)

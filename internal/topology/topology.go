@@ -117,9 +117,10 @@ func ParseSpec(s string) (Spec, error) {
 // specName derives a platform name from a shape string: "fattree:4x4:1x4"
 // becomes "fattree-4-4-1-4" so host and link names stay identifier-like.
 func specName(kind, rest string) string {
-	r := strings.NewReplacer(":", "-", ",", "-", "x", "-")
-	return kind + "-" + r.Replace(rest)
+	return kind + "-" + specNameReplacer.Replace(rest)
 }
+
+var specNameReplacer = strings.NewReplacer(":", "-", ",", "-", "x", "-")
 
 func parseIntList(s, sep string) ([]int, error) {
 	var out []int
